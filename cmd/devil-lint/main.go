@@ -19,7 +19,6 @@
 //     never discarded.
 //   - snapdecode: UnmarshalState decodes through snap.Reader /
 //     snap.UnmarshalParts, never raw payload indexing or encoding/binary.
-//   - nodeprecated: no new calls to functions documented "Deprecated:".
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/nodeprecated"
 	"repro/internal/analysis/rawport"
 	"repro/internal/analysis/snapdecode"
 	"repro/internal/analysis/spanpair"
@@ -37,7 +35,6 @@ import (
 
 // analyzers is the repository's checker suite, in stable name order.
 var analyzers = []*analysis.Analyzer{
-	nodeprecated.Analyzer,
 	rawport.Analyzer,
 	snapdecode.Analyzer,
 	spanpair.Analyzer,

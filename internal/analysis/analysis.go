@@ -45,11 +45,6 @@ type Pass struct {
 	Pkg *types.Package
 	// TypesInfo records the type-checker's facts about Files.
 	TypesInfo *types.Info
-	// Project holds every package loaded alongside this one (the whole
-	// pattern set), syntax included. Project-scoped analyzers (e.g.
-	// nodeprecated, which needs doc comments of callees in other
-	// packages) may scan it; package-scoped analyzers ignore it.
-	Project []*Package
 	// Report delivers one finding.
 	Report func(Diagnostic)
 }

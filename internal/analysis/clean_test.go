@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/nodeprecated"
 	"repro/internal/analysis/rawport"
 	"repro/internal/analysis/snapdecode"
 	"repro/internal/analysis/spanpair"
@@ -33,7 +32,7 @@ func TestLoad(t *testing.T) {
 	}
 	for _, f := range p.Syntax {
 		if f.Comments == nil {
-			t.Error("syntax parsed without comments (pragmas and Deprecated: markers need them)")
+			t.Error("syntax parsed without comments (rawport's //devil:rawport pragma needs them)")
 			break
 		}
 	}
@@ -55,7 +54,7 @@ func TestRepositoryClean(t *testing.T) {
 		t.Fatalf("only %d packages loaded; pattern resolution broken?", len(pkgs))
 	}
 	findings, err := analysis.Run(pkgs, []*analysis.Analyzer{
-		nodeprecated.Analyzer, rawport.Analyzer, snapdecode.Analyzer, spanpair.Analyzer,
+		rawport.Analyzer, snapdecode.Analyzer, spanpair.Analyzer,
 	})
 	if err != nil {
 		t.Fatal(err)

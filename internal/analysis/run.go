@@ -15,7 +15,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Files:     pkg.Syntax,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Project:   pkgs,
 			}
 			pass.Report = func(d Diagnostic) {
 				pos := pkg.Fset.Position(d.Pos)

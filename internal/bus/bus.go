@@ -27,7 +27,6 @@ package bus
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -57,9 +56,9 @@ type Handler interface {
 }
 
 // Clock is a monotonically advancing virtual time source in nanoseconds.
-// It is shared between spaces and device simulators. Clock is safe for use
-// from a single goroutine per experiment; cross-goroutine use needs the
-// caller's synchronization.
+// It is shared between spaces and device simulators. Like everything
+// wired into a host it is not synchronized: the host and its clock belong
+// to one goroutine (see the ownership rule in package farm).
 //
 // The clock doubles as the host identity for span attribution: every
 // producer of one simulated host (its spaces, IRQ lines, and device
@@ -148,8 +147,9 @@ func (s Stats) Ops() uint64 { return s.In + s.Out + s.BlockIn + s.BlockOut }
 
 // Space is a port- or memory-mapped address space with mapped device
 // handlers, counters, and a virtual clock. Create one with NewSpace.
+// A Space is not synchronized: it belongs to the goroutine that owns its
+// host (see the ownership rule in package farm).
 type Space struct {
-	mu    sync.Mutex
 	name  string
 	clock *Clock
 	costs Costs
@@ -198,10 +198,8 @@ func (s *Space) Spans() *obs.Spans { return s.spans }
 // observer enables the host's span tracking; detaching disables it.
 // Both are per-host state: other hosts' spaces are unaffected.
 func (s *Space) SetObserver(o obs.Observer) {
-	s.mu.Lock()
 	prev := s.obs
 	s.obs = o
-	s.mu.Unlock()
 	if prev == nil && o != nil {
 		s.spans.Enable()
 	} else if prev != nil && o == nil {
@@ -219,8 +217,6 @@ func (s *Space) Map(base, size uint32, h Handler) error {
 // range carry Source=name (one trace track per chip). The empty name
 // falls back to the space name.
 func (s *Space) MapNamed(name string, base, size uint32, h Handler) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, m := range s.maps {
 		if base < m.base+m.size && m.base < base+size {
 			return fmt.Errorf("bus %s: range [%#x,%#x) overlaps existing [%#x,%#x)",
@@ -246,26 +242,15 @@ func (s *Space) MustMapNamed(name string, base, size uint32, h Handler) {
 }
 
 // Stats returns a snapshot of the operation counters.
-func (s *Space) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
+func (s *Space) Stats() Stats { return s.stats }
 
 // ResetStats zeroes the operation counters (the clock keeps running).
-func (s *Space) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-}
+func (s *Space) ResetStats() { s.stats = Stats{} }
 
 // lookup resolves a port to its mapping. Mappings are append-only and
-// wiring happens before traffic, so the read is done under the lock but the
-// handler is invoked outside it — device handlers may re-enter the space
-// (interrupt handlers performing I/O) without deadlocking.
+// wiring happens before traffic; the caller invokes the handler, which may
+// re-enter the space (interrupt handlers performing I/O).
 func (s *Space) lookup(port uint32) (mapping, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, m := range s.maps {
 		if port >= m.base && port < m.base+m.size {
 			return m, true
@@ -277,18 +262,14 @@ func (s *Space) lookup(port uint32) (mapping, bool) {
 // fault books an unmapped access: counted, emitted, and — under
 // StrictFaults — escalated to a panic.
 func (s *Space) fault(port uint32, width int, dir string) {
-	s.mu.Lock()
 	s.stats.Faults++
-	strict := s.StrictFaults
-	o := s.obs
-	s.mu.Unlock()
-	if o != nil {
-		o.Observe(obs.Event{
+	if s.obs != nil {
+		s.obs.Observe(obs.Event{
 			TS: s.clock.Now(), Kind: obs.KindFault, Source: s.name,
 			Span: s.spans.Current(), Addr: port, Width: width, Detail: dir,
 		})
 	}
-	if strict {
+	if s.StrictFaults {
 		panic(fmt.Sprintf("bus %s: %s of unmapped port %#x", s.name, dir, port))
 	}
 }
@@ -297,7 +278,6 @@ func (s *Space) fault(port uint32, width int, dir string) {
 // emission path needs: the observer (nil when disabled), the virtual
 // completion time, and the charged cost.
 func (s *Space) chargeSingle(in bool) (o obs.Observer, ts, cost uint64) {
-	s.mu.Lock()
 	if in {
 		s.stats.In++
 	} else {
@@ -305,13 +285,10 @@ func (s *Space) chargeSingle(in bool) (o obs.Observer, ts, cost uint64) {
 	}
 	cost = s.costs.AccessNS + s.costs.OverheadNS
 	s.clock.advance(cost)
-	o, ts = s.obs, s.clock.Now()
-	s.mu.Unlock()
-	return o, ts, cost
+	return s.obs, s.clock.Now(), cost
 }
 
 func (s *Space) chargeBlock(in bool, units int) (o obs.Observer, ts, cost uint64) {
-	s.mu.Lock()
 	if in {
 		s.stats.BlockIn++
 	} else {
@@ -320,9 +297,7 @@ func (s *Space) chargeBlock(in bool, units int) (o obs.Observer, ts, cost uint64
 	s.stats.BlockUnits += uint64(units)
 	cost = s.costs.OverheadNS + uint64(units)*s.costs.AccessNS
 	s.clock.advance(cost)
-	o, ts = s.obs, s.clock.Now()
-	s.mu.Unlock()
-	return o, ts, cost
+	return s.obs, s.clock.Now(), cost
 }
 
 func (s *Space) read(port uint32, width int) uint32 {
@@ -471,10 +446,11 @@ func (s *Space) OutBlock32(port uint32, buf []uint32) {
 //
 // The observation fields are optional wiring-time configuration: with Obs
 // set, Raise and Consume emit KindIRQRaise/KindIRQConsume events named
-// Name, timestamped from Clock when one is attached. Set them before
-// traffic starts; they are not synchronized by the line's mutex.
+// Name, timestamped from Clock when one is attached. Like the counters,
+// they are not synchronized: the line belongs to the goroutine that owns
+// its host (see the ownership rule in package farm), so raiser and
+// consumer run on that one goroutine.
 type IRQLine struct {
-	mu      sync.Mutex
 	pending uint64
 	total   uint64
 
@@ -500,10 +476,8 @@ func (l *IRQLine) emit(kind obs.Kind) {
 
 // Raise latches one interrupt.
 func (l *IRQLine) Raise() {
-	l.mu.Lock()
 	l.pending++
 	l.total++
-	l.mu.Unlock()
 	l.emit(obs.KindIRQRaise)
 }
 
@@ -511,32 +485,20 @@ func (l *IRQLine) Raise() {
 // consumed. Device simulators use it as a pump barrier: streaming engines
 // stop at a pending interrupt so the driver's ISR runs before more data
 // moves.
-func (l *IRQLine) Pending() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pending > 0
-}
+func (l *IRQLine) Pending() bool { return l.pending > 0 }
 
 // Consume takes one pending interrupt, reporting false if none is latched.
 func (l *IRQLine) Consume() bool {
-	l.mu.Lock()
-	ok := l.pending > 0
-	if ok {
-		l.pending--
+	if l.pending == 0 {
+		return false
 	}
-	l.mu.Unlock()
-	if ok {
-		l.emit(obs.KindIRQConsume)
-	}
-	return ok
+	l.pending--
+	l.emit(obs.KindIRQConsume)
+	return true
 }
 
 // Total returns the number of interrupts raised since creation.
-func (l *IRQLine) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
+func (l *IRQLine) Total() uint64 { return l.total }
 
 // ---------------------------------------------------------------------------
 // Simple handlers for tests and simulators.

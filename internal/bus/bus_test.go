@@ -1,8 +1,6 @@
 package bus
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -253,43 +251,6 @@ func TestIRQLineInterleavings(t *testing.T) {
 	}
 	if l.Total() != 3 {
 		t.Errorf("total = %d, want 3", l.Total())
-	}
-}
-
-func TestIRQLineConcurrentRaise(t *testing.T) {
-	// Concurrent raisers against a consuming drain; run under -race this
-	// exercises the lock discipline, and the counts must balance exactly.
-	var l IRQLine
-	const raisers, perRaiser = 8, 1000
-	var wg sync.WaitGroup
-	for i := 0; i < raisers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perRaiser; j++ {
-				l.Raise()
-			}
-		}()
-	}
-	consumed := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for consumed < raisers*perRaiser {
-			if l.Consume() {
-				consumed++
-			} else {
-				runtime.Gosched()
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	if l.Total() != raisers*perRaiser {
-		t.Errorf("total = %d, want %d", l.Total(), raisers*perRaiser)
-	}
-	if l.Pending() {
-		t.Error("interrupts left pending after balanced drain")
 	}
 }
 

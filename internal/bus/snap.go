@@ -34,9 +34,7 @@ func (c *Clock) UnmarshalState(data []byte) error {
 // MarshalState implements snap.Snapshotter: the operation counters. The
 // mappings, cost model, and observer are wiring.
 func (s *Space) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
 	st := s.stats
-	s.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, "space")
 	dst = snap.AppendU64(dst, st.In)
 	dst = snap.AppendU64(dst, st.Out)
@@ -63,21 +61,16 @@ func (s *Space) UnmarshalState(data []byte) error {
 	if err := r.Close(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.stats = st
-	s.mu.Unlock()
 	return nil
 }
 
 // MarshalState implements snap.Snapshotter: the latched and lifetime
 // interrupt counts.
 func (l *IRQLine) MarshalState(dst []byte) ([]byte, error) {
-	l.mu.Lock()
-	pending, total := l.pending, l.total
-	l.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, "irq")
-	dst = snap.AppendU64(dst, pending)
-	dst = snap.AppendU64(dst, total)
+	dst = snap.AppendU64(dst, l.pending)
+	dst = snap.AppendU64(dst, l.total)
 	return snap.FinishHeader(dst, patch), nil
 }
 
@@ -91,9 +84,7 @@ func (l *IRQLine) UnmarshalState(data []byte) error {
 	if err := r.Close(); err != nil {
 		return err
 	}
-	l.mu.Lock()
 	l.pending, l.total = pending, total
-	l.mu.Unlock()
 	return nil
 }
 

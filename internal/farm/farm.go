@@ -8,6 +8,13 @@
 // pool without synchronizing with each other, and an observer attached to
 // one host costs every other host nothing.
 //
+// Ownership rule: a host, and everything wired into it, belongs to one
+// goroutine. That covers its bus.Clock, bus.Spaces, bus.IRQLines, device
+// simulators, stubs, driver and obs.Spans stack; none of them is
+// synchronized, so a host must never be driven from two goroutines at
+// once (RunFleet hands each host to exactly one worker). Only the sinks
+// that may be shared across hosts, obs.Ring and obs.Metrics, keep locks.
+//
 // A host's workload is a list of steps with a cursor, and the cursor's
 // step boundaries are checkpoint points: Snapshot serializes the whole
 // machine (clock, operation counters, memory, interrupt lines, device

@@ -9,7 +9,7 @@
 //     Events on an Observer when one is attached, and pay nothing but a
 //     nil check when none is.
 //   - The exec interpreter and codegen-emitted stubs annotate a
-//     goroutine-local span (Span("cs4236.pfmt.set")) so every bus op in
+//     per-host span (Span("cs4236.pfmt.set")) so every bus op in
 //     a trace names the .dil variable — and, one level up, the driver
 //     phase (init/ISR/transfer) — that caused it.
 //   - Sinks (Ring, Metrics) buffer and aggregate; chrome.go exports the
@@ -69,12 +69,12 @@ func (k Kind) IsOp() bool { return k <= KindBlockOut }
 // nanoseconds after the event's cost was charged; Cost is the virtual
 // time the event itself consumed, so [TS-Cost, TS] is its interval on
 // the timeline. Source names the emitting chip or region, Span the
-// attribution stack active on the emitting goroutine ("phase/dev.var.op").
+// attribution stack active on the emitting host ("phase/dev.var.op").
 type Event struct {
 	TS     uint64 // virtual ns at completion
 	Kind   Kind
 	Source string // chip / mapped region / space name
-	Span   string // goroutine-local attribution, "" when tracking is off
+	Span   string // per-host attribution, "" when tracking is off
 	Addr   uint32 // port address (port and block kinds, faults)
 	Width  int    // access width in bits (port and block kinds)
 	Value  uint64 // datum read or written (single accesses)
@@ -121,7 +121,8 @@ func (e Event) String() string {
 }
 
 // Observer receives events. Implementations must tolerate concurrent
-// Observe calls: producers emit from whatever goroutine runs the driver.
+// Observe calls: one observer may be attached to several hosts, each run
+// by its own goroutine.
 type Observer interface {
 	Observe(Event)
 }

@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Span attribution: a per-host stack of names pushed by the exec
 // interpreter, the codegen-emitted stubs, and driver phase annotations.
 //
@@ -19,22 +14,20 @@ import (
 // colliding — once IDs grew past seven digits in long-running fleets.
 //
 // The stack is refcount-gated: with no observers attached to the host,
-// Span costs one nil-check plus one atomic load and returns a shared
-// no-op closure, so the generated stubs stay near zero-cost when the
-// pipeline is disabled.
+// Span costs one nil-check plus one load and returns a shared no-op
+// closure, so the generated stubs stay near zero-cost when the pipeline
+// is disabled.
 
 // Spans is one host's attribution stack. The zero value is ready to use.
 // A nil *Spans is valid and permanently disabled, so producers without a
 // host (a stub bound to a bare test bus) pay only the nil check.
 //
-// Methods are safe for concurrent use; the mutex is per host, so it is
-// uncontended in the common one-goroutine-per-host regime and never
-// shared between hosts.
+// Spans is not synchronized: like everything wired into a host it
+// belongs to the goroutine that owns the host (see the ownership rule in
+// package farm). The host's own SetObserver calls Enable and Disable.
 type Spans struct {
-	enabled atomic.Int32
-
-	mu    sync.Mutex
-	stack []string
+	enabled int32
+	stack   []string
 }
 
 // Enable turns span tracking on for this host. Calls nest: tracking stays
@@ -46,7 +39,7 @@ func (s *Spans) Enable() {
 	if s == nil {
 		panic("obs: Enable on nil Spans")
 	}
-	s.enabled.Add(1)
+	s.enabled++
 }
 
 // Disable undoes one Enable.
@@ -54,40 +47,36 @@ func (s *Spans) Disable() {
 	if s == nil {
 		panic("obs: Disable on nil Spans")
 	}
-	if s.enabled.Add(-1) < 0 {
-		s.enabled.Add(1)
+	if s.enabled == 0 {
 		panic("obs: Disable without matching Enable")
 	}
+	s.enabled--
 }
 
 // Enabled reports whether span tracking is on for this host.
-func (s *Spans) Enabled() bool { return s != nil && s.enabled.Load() > 0 }
+func (s *Spans) Enabled() bool { return s != nil && s.enabled > 0 }
 
 var nop = func() {}
 
 // Span pushes name onto the host's attribution stack and returns the pop.
 // Nested spans join with "/": code running under Span("play.isr") then
 // Span("cs4236.pfmt.set") is attributed "play.isr/cs4236.pfmt.set". When
-// tracking is disabled the call is a nil check and an atomic load.
+// tracking is disabled the call is a nil check and a load.
 //
 //	defer spans.Span("cs4236.pfmt.set")()
 func (s *Spans) Span(name string) func() {
-	if s == nil || s.enabled.Load() == 0 {
+	if s == nil || s.enabled == 0 {
 		return nop
 	}
-	s.mu.Lock()
 	joined := name
 	if n := len(s.stack); n > 0 {
 		joined = s.stack[n-1] + "/" + name
 	}
 	s.stack = append(s.stack, joined)
-	s.mu.Unlock()
 	return func() {
-		s.mu.Lock()
 		if n := len(s.stack); n > 0 {
 			s.stack = s.stack[:n-1]
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -102,11 +91,9 @@ func (s *Spans) With(name string, fn func()) {
 // when the stack is empty or tracking is disabled. Producers stamp it
 // into Event.Span.
 func (s *Spans) Current() string {
-	if s == nil || s.enabled.Load() == 0 {
+	if s == nil || s.enabled == 0 {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n := len(s.stack); n > 0 {
 		return s.stack[n-1]
 	}

@@ -9,8 +9,6 @@ const snapName = "busmouse-sim"
 // Reset returns the mouse to its power-on state: no pending movement, all
 // buttons released, interrupts enabled. The IRQ wiring is preserved.
 func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.accX, s.accY = 0, 0
 	s.buttons = 0x7
 	s.held = false
@@ -23,8 +21,6 @@ func (s *Sim) Reset() {
 
 // MarshalState implements snap.Snapshotter.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, snapName)
 	dst = snap.AppendU8(dst, uint8(s.accX))
 	dst = snap.AppendU8(dst, uint8(s.accY))
@@ -46,8 +42,6 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.accX = int8(r.U8())
 	s.accY = int8(r.U8())
 	s.buttons = r.U8()

@@ -10,8 +10,6 @@ const snapName = "cs4236-sim"
 // selected, extended addressing disarmed, playback record cleared. Wiring
 // (Clock, DREQ, Halt, Obs) is preserved.
 func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.control = 0
 	s.indexed = [32]uint8{}
 	s.ext = [32]uint8{}
@@ -26,8 +24,6 @@ func (s *Sim) Reset() {
 // contents, consumed samples, underrun latch) is state: a mid-clip
 // snapshot restores with the DAC exactly where it was.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, snapName)
 	dst = snap.AppendU8(dst, s.control)
 	dst = append(dst, s.indexed[:]...)
@@ -46,8 +42,6 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.control = r.U8()
 	for i := range s.indexed {
 		s.indexed[i] = r.U8()

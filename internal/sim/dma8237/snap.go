@@ -10,8 +10,6 @@ const snapName = "dma8237-sim"
 // registers zeroed, every channel masked. Wiring (Mem, Page, Sink, Source,
 // OnTC, Clock, Obs) is preserved.
 func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.flipflop = false
 	s.baseAddr, s.curAddr = 0, 0
 	s.baseCount, s.curCount = 0, 0
@@ -24,8 +22,6 @@ func (s *Sim) Reset() {
 // part of the wire state: a snapshot taken between the two bytes of a
 // 16-bit address write restores with the byte pairing intact.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, snapName)
 	dst = snap.AppendBool(dst, s.flipflop)
 	dst = snap.AppendU16(dst, s.baseAddr)
@@ -46,8 +42,6 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.flipflop = r.Bool()
 	s.baseAddr = r.U16()
 	s.curAddr = r.U16()

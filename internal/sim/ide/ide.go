@@ -17,7 +17,6 @@ package ide
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bus"
 	"repro/internal/obs"
@@ -92,7 +91,6 @@ const MediaByteNS = 70
 // Disk is the simulated drive plus busmaster function. Map its three
 // handlers with Attach.
 type Disk struct {
-	mu    sync.Mutex
 	clock *bus.Clock
 
 	image []byte
@@ -134,8 +132,9 @@ type Disk struct {
 	Obs obs.Observer
 }
 
-// emit sends a drive event stamped from the shared clock. Called with
-// d.mu held; sinks must not re-enter the disk (Ring/Metrics do not).
+// emit sends a drive event stamped from the shared clock. Called from
+// inside the drive's handlers; sinks must not re-enter the disk
+// (Ring/Metrics do not).
 func (d *Disk) emit(kind obs.Kind, detail string, units int, cost uint64) {
 	if d.Obs == nil {
 		return
@@ -163,8 +162,6 @@ func (d *Disk) Sectors() int { return len(d.image) / SectorSize }
 
 // ReadImage copies sector data out of the drive image (for verification).
 func (d *Disk) ReadImage(lba, n int) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]byte, n*SectorSize)
 	copy(out, d.image[lba*SectorSize:])
 	return out
@@ -196,12 +193,8 @@ func (d *Disk) raiseIRQ() {
 		return
 	}
 	if d.IRQ != nil {
-		irq := d.IRQ
-		// Drop the lock while running the handler: drivers re-enter the
-		// device from interrupt context.
-		d.mu.Unlock()
-		irq()
-		d.mu.Lock()
+		// Drivers may re-enter the device from interrupt context.
+		d.IRQ()
 	}
 }
 
@@ -435,8 +428,6 @@ type taskFile struct{ d *Disk }
 
 func (t taskFile) BusRead(off uint32, width int) uint32 {
 	d := t.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case RegData:
 		return d.dataRead(width)
@@ -463,8 +454,6 @@ func (t taskFile) BusRead(off uint32, width int) uint32 {
 
 func (t taskFile) BusWrite(off uint32, width int, v uint32) {
 	d := t.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	b := uint8(v)
 	switch off {
 	case RegData:
@@ -489,15 +478,11 @@ func (t taskFile) BusWrite(off uint32, width int, v uint32) {
 type control struct{ d *Disk }
 
 func (c control) BusRead(off uint32, width int) uint32 {
-	c.d.mu.Lock()
-	defer c.d.mu.Unlock()
 	return uint32(c.d.status) // alternate status
 }
 
 func (c control) BusWrite(off uint32, width int, v uint32) {
 	d := c.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	prev := d.ctl
 	d.ctl = uint8(v)
 	if d.ctl&0x04 != 0 && prev&0x04 == 0 { // SRST rising edge
@@ -513,8 +498,6 @@ type busmaster struct{ d *Disk }
 
 func (b busmaster) BusRead(off uint32, width int) uint32 {
 	d := b.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case BMCommand:
 		return uint32(d.bmCmd)
@@ -528,8 +511,6 @@ func (b busmaster) BusRead(off uint32, width int) uint32 {
 
 func (b busmaster) BusWrite(off uint32, width int, v uint32) {
 	d := b.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case BMCommand:
 		prev := d.bmCmd

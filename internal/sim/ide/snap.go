@@ -17,8 +17,6 @@ const snapName = "ide-sim"
 // busmaster idle. Wiring (clock, memory, IRQ, Obs) and capacity are
 // preserved.
 func (d *Disk) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for i := range d.image {
 		sector := i / SectorSize
 		d.image[i] = byte(sector ^ (i * 7))
@@ -44,8 +42,6 @@ func (d *Disk) Reset() {
 // snapshot taken mid-DRQ-phase restores with the transfer exactly where
 // it was.
 func (d *Disk) MarshalState(dst []byte) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, snapName)
 	dst = snap.AppendBytes(dst, d.image)
 	for _, v := range []uint8{
@@ -80,8 +76,6 @@ func (d *Disk) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	image := r.Bytes()
 	if r.Err() == nil && len(image) != len(d.image) {
 		return fmt.Errorf("snap: %s: image blob is %d bytes, drive holds %d", snapName, len(image), len(d.image))

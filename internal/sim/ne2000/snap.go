@@ -13,8 +13,6 @@ const snapName = "ne2000-sim"
 // Reset returns the controller to its power-on state: stopped, registers
 // and SRAM zeroed. The IRQ wiring is preserved.
 func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.sram = [sramSize]byte{}
 	s.cmd = CmdSTP | CmdRD2
 	s.running = false
@@ -32,8 +30,6 @@ func (s *Sim) Reset() {
 // MarshalState implements snap.Snapshotter. The on-board SRAM travels in
 // the blob: a restored controller serves the same receive ring.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, snapName)
 	dst = snap.AppendBytes(dst, s.sram[:])
 	dst = snap.AppendU8(dst, s.cmd)
@@ -59,8 +55,6 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sram := r.Bytes()
 	if r.Err() == nil && len(sram) != sramSize {
 		return fmt.Errorf("snap: %s: SRAM blob is %d bytes, want %d", snapName, len(sram), sramSize)

@@ -18,8 +18,6 @@ const maxBatches = 1 << 16
 // framebuffer cleared, FIFO empty, engine idle. The clock wiring and
 // geometry are preserved.
 func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range s.fb {
 		s.fb[i] = 0
 	}
@@ -37,8 +35,6 @@ func (s *Sim) Reset() {
 // pending FIFO batches travel in the blob, so a snapshot taken while the
 // engine is busy restores mid-drain.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, snapName)
 	dst = snap.AppendU32(dst, uint32(s.Width))
 	dst = snap.AppendU32(dst, uint32(s.Height))
@@ -71,8 +67,6 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w, h := int(r.U32()), int(r.U32())
 	if r.Err() == nil && (w != s.Width || h != s.Height) {
 		return fmt.Errorf("snap: %s: blob geometry %dx%d, controller is %dx%d", snapName, w, h, s.Width, s.Height)

@@ -10,8 +10,6 @@ const snapName = "pic8259-sim"
 // awaiting ICW1, all requests masked. Wiring (INT, Clock, Obs) is
 // preserved.
 func (s *Sim) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.state = wantICW2
 	s.icw1 = ICW1Select
 	s.icw2, s.icw3, s.icw4 = 0, 0, 0
@@ -25,8 +23,6 @@ func (s *Sim) Reset() {
 // position is part of the state: a snapshot taken mid-ICW-sequence
 // restores still expecting the announced command words.
 func (s *Sim) MarshalState(dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	dst, patch := snap.AppendHeader(dst, snapName)
 	dst = snap.AppendU8(dst, uint8(s.state))
 	dst = snap.AppendU8(dst, s.icw1)
@@ -47,8 +43,6 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.state = initState(r.U8())
 	s.icw1 = r.U8()
 	s.icw2 = r.U8()
