@@ -524,3 +524,28 @@ func BenchmarkSnapshotHostRestore(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(blob))*float64(b.N)/b.Elapsed().Seconds()/1e6, "restore-MB/s")
 }
+
+// BenchmarkCheckpointCycleGfx times one whole checkpoint cycle of a
+// Permedia2 host, the rung the checkpoint workload repeats: build the
+// host, run its first step, Snapshot, RestoreHost, and finish the restored
+// host. Run with -benchmem: B/op is dominated by the dense framebuffer
+// field every Permedia2 snapshot carries.
+func BenchmarkCheckpointCycleGfx(b *testing.B) {
+	spec := farm.WorkloadSpec{Kind: farm.Gfx, Variant: farm.Devil, Size: 64, Rects: 4}
+	for i := 0; i < b.N; i++ {
+		h := farm.New("gfx", spec)
+		if _, err := h.StepOnce(); err != nil {
+			b.Fatal(err)
+		}
+		blob, err := h.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if h, err = farm.RestoreHost(blob); err != nil {
+			b.Fatal(err)
+		}
+		if r := h.Run(); r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+}

@@ -202,10 +202,12 @@ func (h *Host) buildIDE() {
 	}
 	h.Clock, h.Space = clk, space
 	h.parts = []snap.Snapshotter{clk, space, mem, irq, disk, drv}
+	// The read buffer is the driver's destination, allocated once with the
+	// host so a re-run moves the sectors without allocating.
+	buf := make([]byte, sectors*simide.SectorSize)
 	h.steps = []step{
 		{name: "init", run: func() (uint64, error) { return 0, drv.Init() }},
 		{name: "read", run: func() (uint64, error) {
-			buf := make([]byte, sectors*simide.SectorSize)
 			if err := drv.ReadSectors(0, buf); err != nil {
 				return 0, err
 			}

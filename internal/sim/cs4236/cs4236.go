@@ -202,10 +202,10 @@ func (s *Sim) RaisePI() {
 
 // Played returns every sample byte the DAC has consumed since the last
 // ResetPlayback, in order — the pipeline tests compare it against the clip
-// the driver streamed.
-func (s *Sim) Played() []byte {
-	return append([]byte(nil), s.played...)
-}
+// the driver streamed. The slice is the codec's own record, not a copy: it
+// is read-only, and valid only until the codec next plays a sample or
+// resets its playback.
+func (s *Sim) Played() []byte { return s.played }
 
 // Underrun reports whether the DAC starved mid-frame: playback enabled, a
 // partial sample frame in the FIFO, and the DMA channel unable to supply
@@ -214,10 +214,11 @@ func (s *Sim) Played() []byte {
 func (s *Sim) Underrun() bool { return s.underrun }
 
 // ResetPlayback clears the playback record, the FIFO, and the underrun
-// latch (the registers keep their state).
+// latch (the registers keep their state). Both buffers keep their
+// capacity, so replaying a clip of the same length allocates nothing.
 func (s *Sim) ResetPlayback() {
-	s.fifo = nil
-	s.played = nil
+	s.fifo = s.fifo[:0]
+	s.played = s.played[:0]
 	s.underrun = false
 }
 

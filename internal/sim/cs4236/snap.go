@@ -1,6 +1,10 @@
 package cs4236
 
-import "repro/internal/snap"
+import (
+	"bytes"
+
+	"repro/internal/snap"
+)
 
 // snapName identifies this simulator's blobs (distinct from the "cs4236"
 // driver-state blobs the Devil stub produces).
@@ -51,8 +55,8 @@ func (s *Sim) UnmarshalState(data []byte) error {
 	}
 	s.xa = r.U8()
 	s.xm = r.Bool()
-	s.fifo = r.Bytes()
-	s.played = r.Bytes()
+	s.fifo = bytes.Clone(r.Bytes())
+	s.played = bytes.Clone(r.Bytes())
 	s.underrun = r.Bool()
 	return r.Close()
 }

@@ -164,3 +164,40 @@ func TestIdentify(t *testing.T) {
 		t.Errorf("capacity = %d", got)
 	}
 }
+
+// TestRestoreMidPIOOwnsBuffer snapshots a drive halfway through a PIO
+// sector, restores it, and overwrites the blob before draining the rest:
+// the restored transfer buffer must be the drive's own copy, not a view of
+// the blob.
+func TestRestoreMidPIOOwnsBuffer(t *testing.T) {
+	d, _ := newDisk(16)
+	tf := d.TaskFile()
+	tf.BusWrite(RegNSect, 8, 1)
+	tf.BusWrite(RegLBALow, 8, 7)
+	tf.BusWrite(RegDevHead, 8, 0xe0)
+	tf.BusWrite(RegStatus, 8, CmdReadSectors)
+	var got []byte
+	for i := 0; i < 100; i++ {
+		w := tf.BusRead(RegData, 16)
+		got = append(got, byte(w), byte(w>>8))
+	}
+	blob, err := d.MarshalState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newDisk(16)
+	if err := r.UnmarshalState(blob); err != nil {
+		t.Fatal(err)
+	}
+	for i := range blob {
+		blob[i] = 0xff
+	}
+	rtf := r.TaskFile()
+	for i := 100; i < 256; i++ {
+		w := rtf.BusRead(RegData, 16)
+		got = append(got, byte(w), byte(w>>8))
+	}
+	if !bytes.Equal(got, d.ReadImage(7, 1)) {
+		t.Error("sector 7 read across a restore differs from the image")
+	}
+}

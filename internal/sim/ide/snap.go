@@ -1,6 +1,7 @@
 package ide
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/snap"
@@ -93,7 +94,7 @@ func (d *Disk) UnmarshalState(data []byte) error {
 	d.xfer.write = r.Bool()
 	d.xfer.lba = int(r.U32())
 	d.xfer.remaining = int(r.U32())
-	d.xfer.buf = r.Bytes()
+	d.xfer.buf = bytes.Clone(r.Bytes())
 	d.xfer.pos = int(r.U32())
 	d.bmCmd = r.U8()
 	d.bmStatus = r.U8()

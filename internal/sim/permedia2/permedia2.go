@@ -9,7 +9,11 @@
 // write stalls the bus until the engine drains, exactly like the hardware.
 //
 // The framebuffer is an in-memory byte array so tests can verify fills and
-// copies pixel by pixel.
+// copies pixel by pixel. It is a high-water slice: it holds only the bytes
+// up to the highest byte a fill or copy has ever written, and every byte
+// past its end reads as zero, so a controller costs no framebuffer memory
+// until it draws and then only as much as it has drawn over. Snapshots
+// still carry the dense Width×Height×4 framebuffer field.
 package permedia2
 
 import (
@@ -59,7 +63,7 @@ type Sim struct {
 	clock *bus.Clock
 
 	Width, Height int
-	fb            []byte // Width*Height*4 bytes, stride fixed at 32bpp max
+	fb            []byte // high-water prefix of the Width*Height*4 framebuffer; bytes past len(fb) are zero
 
 	// Register state.
 	windowBase, logicalOp, writeConfig, color    uint32
@@ -85,9 +89,30 @@ type pendingBatch struct {
 	entries int
 }
 
-// New creates a controller with a Width×Height framebuffer.
+// New creates a controller with a Width×Height framebuffer. No framebuffer
+// memory is allocated until the first primitive draws.
 func New(clock *bus.Clock, width, height int) *Sim {
-	return &Sim{clock: clock, Width: width, Height: height, fb: make([]byte, width*height*4)}
+	return &Sim{clock: clock, Width: width, Height: height}
+}
+
+// fbSize is the byte size of the dense framebuffer: Width×Height pixels at
+// the 32bpp maximum stride.
+func (s *Sim) fbSize() int { return s.Width * s.Height * 4 }
+
+// touch extends the framebuffer with zero bytes so that it holds the first
+// end bytes.
+func (s *Sim) touch(end int) {
+	if n := end - len(s.fb); n > 0 {
+		s.fb = append(s.fb, make([]byte, n)...)
+	}
+}
+
+// clip intersects the w×h rectangle at (x, y) with the screen, returning
+// the half-open pixel bounds and whether anything is left.
+func (s *Sim) clip(x, y, w, h int) (x0, y0, x1, y1 int, ok bool) {
+	x0, x1 = max(x, 0), min(x+w, s.Width)
+	y0, y1 = max(y, 0), min(y+h, s.Height)
+	return x0, y0, x1, y1, x0 < x1 && y0 < y1
 }
 
 // BytesPerPixel decodes the framebuffer write configuration depth field.
@@ -109,18 +134,23 @@ func (s *Sim) Pixel(x, y int) uint32 {
 	bpp := s.BytesPerPixel()
 	off := (y*s.Width + x) * bpp
 	var v uint32
-	for i := 0; i < bpp; i++ {
+	for i := 0; i < bpp && off+i < len(s.fb); i++ {
 		v |= uint32(s.fb[off+i]) << uint(8*i)
 	}
 	return v
 }
 
 // free returns the current free FIFO entries after draining the batches the
-// engine has completed by now.
+// engine has completed by now. The queue drains in place, so its backing
+// array is reused instead of reallocated as primitives come and go.
 func (s *Sim) free() int {
 	now := s.clock.Now()
-	for len(s.batches) > 0 && s.batches[0].done <= now {
-		s.batches = s.batches[1:]
+	n := 0
+	for n < len(s.batches) && s.batches[n].done <= now {
+		n++
+	}
+	if n > 0 {
+		s.batches = append(s.batches[:0], s.batches[n:]...)
 	}
 	queued := s.openEntries
 	for _, b := range s.batches {
@@ -152,7 +182,7 @@ func (s *Sim) BusWrite(off uint32, width int, v uint32) {
 		if next := s.batches[0].done; next > s.clock.Now() {
 			s.clock.Advance(next - s.clock.Now())
 		} else {
-			s.batches = s.batches[1:]
+			s.batches = append(s.batches[:0], s.batches[1:]...)
 		}
 	}
 	if s.clock.Now() < s.busyUntil {
@@ -226,14 +256,13 @@ func (s *Sim) render(cmd uint32) {
 }
 
 func (s *Sim) fillRect(x, y, w, h, bpp int) {
-	for yy := y; yy < y+h && yy < s.Height; yy++ {
-		if yy < 0 {
-			continue
-		}
-		for xx := x; xx < x+w && xx < s.Width; xx++ {
-			if xx < 0 {
-				continue
-			}
+	x0, y0, x1, y1, ok := s.clip(x, y, w, h)
+	if !ok {
+		return
+	}
+	s.touch(((y1-1)*s.Width + x1) * bpp)
+	for yy := y0; yy < y1; yy++ {
+		for xx := x0; xx < x1; xx++ {
 			off := (yy*s.Width + xx) * bpp
 			for i := 0; i < bpp; i++ {
 				s.fb[off+i] = byte(s.color >> uint(8*i))
@@ -243,7 +272,8 @@ func (s *Sim) fillRect(x, y, w, h, bpp int) {
 }
 
 // copyRect moves a w×h block; the source origin is the destination origin
-// displaced by the packed signed 16-bit deltas in fb_source_offset.
+// displaced by the packed signed 16-bit deltas in fb_source_offset. Source
+// pixels past the framebuffer's high-water mark copy as zero.
 func (s *Sim) copyRect(x, y, w, h, bpp int) {
 	dx := int(int16(s.sourceOff & 0xffff))
 	dy := int(int16(s.sourceOff >> 16))
@@ -258,9 +288,16 @@ func (s *Sim) copyRect(x, y, w, h, bpp int) {
 			if sx < 0 || sx >= s.Width {
 				continue
 			}
-			copy(src[(yy*w+xx)*bpp:(yy*w+xx+1)*bpp], s.fb[(sy*s.Width+sx)*bpp:])
+			if off := (sy*s.Width + sx) * bpp; off < len(s.fb) {
+				copy(src[(yy*w+xx)*bpp:(yy*w+xx+1)*bpp], s.fb[off:])
+			}
 		}
 	}
+	_, _, x1, y1, ok := s.clip(x, y, w, h)
+	if !ok {
+		return
+	}
+	s.touch(((y1-1)*s.Width + x1) * bpp)
 	for yy := 0; yy < h; yy++ {
 		ty := y + yy
 		if ty < 0 || ty >= s.Height {

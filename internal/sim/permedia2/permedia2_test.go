@@ -1,6 +1,7 @@
 package permedia2
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bus"
@@ -115,5 +116,159 @@ func TestBytesPerPixel(t *testing.T) {
 		if got := s.BytesPerPixel(); got != want {
 			t.Errorf("code %d: bpp = %d, want %d", code, got, want)
 		}
+	}
+}
+
+// depths are the FBWriteConfig codes for 8, 16 and 32 bpp.
+var depths = []struct {
+	code uint32
+	bpp  int
+	mask uint32
+}{{0, 1, 0xff}, {1, 2, 0xffff}, {2, 4, 0xffffffff}}
+
+var sink *Sim
+
+func TestNewAllocatesNoFramebuffer(t *testing.T) {
+	var clk bus.Clock
+	// The one allocation is the Sim itself.
+	if n := testing.AllocsPerRun(10, func() { sink = New(&clk, 1024, 768) }); n != 1 {
+		t.Errorf("New allocates %v times, want 1", n)
+	}
+	if len(sink.fb) != 0 {
+		t.Errorf("fresh framebuffer holds %d bytes, want 0", len(sink.fb))
+	}
+}
+
+func TestUntouchedPixelsReadZero(t *testing.T) {
+	s, _ := newChip()
+	for _, d := range depths {
+		write(s, RegFBWriteConfig, d.code)
+		for _, p := range [][2]int{{0, 0}, {17, 9}, {63, 63}} {
+			if got := s.Pixel(p[0], p[1]); got != 0 {
+				t.Errorf("%d bpp: untouched pixel %v = %#x, want 0", 8*d.bpp, p, got)
+			}
+		}
+	}
+	// Past the high-water mark of a small fill, pixels still read zero.
+	write(s, RegFBWriteConfig, 2)
+	fill(s, 0, 0, 1, 1, 0xffffffff)
+	if got := s.Pixel(1, 0); got != 0 {
+		t.Errorf("pixel past the high-water mark = %#x, want 0", got)
+	}
+}
+
+// TestFillBottomRightCorner clips a fill at the last pixel of the screen,
+// which grows the framebuffer to its full extent for that depth.
+func TestFillBottomRightCorner(t *testing.T) {
+	const color = 0xa1b2c3d4
+	for _, d := range depths {
+		s, _ := newChip()
+		write(s, RegFBWriteConfig, d.code)
+		fill(s, 61, 62, 8, 8, color)
+		for y := 60; y < 64; y++ {
+			for x := 59; x < 64; x++ {
+				want := uint32(0)
+				if x >= 61 && y >= 62 {
+					want = color & d.mask
+				}
+				if got := s.Pixel(x, y); got != want {
+					t.Errorf("%d bpp: pixel (%d,%d) = %#x, want %#x", 8*d.bpp, x, y, got, want)
+				}
+			}
+		}
+		if want := 64 * 64 * d.bpp; len(s.fb) != want {
+			t.Errorf("%d bpp: framebuffer holds %d bytes, want %d", 8*d.bpp, len(s.fb), want)
+		}
+	}
+}
+
+// TestCopyFromUntouchedSource copies from pixels no primitive has written:
+// they copy as zero, also where the source straddles the high-water mark.
+func TestCopyFromUntouchedSource(t *testing.T) {
+	const color = 0x5566_7788
+	copyRect := func(s *Sim, dx, dy, x, y, w, h int) {
+		write(s, RegFBSourceOff, packDelta(dx, dy))
+		write(s, RegRectOrigin, uint32(x)|uint32(y)<<16)
+		write(s, RegRectSize, uint32(w)|uint32(h)<<16)
+		write(s, RegRender, RenderCopy)
+	}
+	for _, d := range depths {
+		s, _ := newChip()
+		write(s, RegFBWriteConfig, d.code)
+		fill(s, 0, 0, 4, 4, color)
+		// Row 3 ends at the high-water mark: copy its last two pixels and
+		// two untouched ones after them to (10,20).
+		copyRect(s, -8, -17, 10, 20, 4, 1)
+		// Blank the filled square with untouched pixels from (50,50).
+		copyRect(s, 50, 50, 0, 0, 4, 4)
+		for _, c := range []struct {
+			x, y int
+			want uint32
+		}{
+			{10, 20, color & d.mask}, {11, 20, color & d.mask},
+			{12, 20, 0}, {13, 20, 0},
+			{0, 0, 0}, {3, 3, 0}, {3, 0, 0},
+		} {
+			if got := s.Pixel(c.x, c.y); got != c.want {
+				t.Errorf("%d bpp: pixel (%d,%d) = %#x, want %#x", 8*d.bpp, c.x, c.y, got, c.want)
+			}
+		}
+	}
+}
+
+func TestResetEmptiesFramebuffer(t *testing.T) {
+	s, _ := newChip()
+	write(s, RegFBWriteConfig, 2)
+	fill(s, 0, 0, 64, 64, 0xffffffff)
+	s.Reset()
+	if len(s.fb) != 0 {
+		t.Fatalf("framebuffer holds %d bytes after Reset, want 0", len(s.fb))
+	}
+	// Growing back over the old extent must not resurrect old pixels.
+	write(s, RegFBWriteConfig, 2)
+	fill(s, 63, 63, 1, 1, 1)
+	for _, p := range [][2]int{{0, 0}, {32, 32}, {62, 63}} {
+		if got := s.Pixel(p[0], p[1]); got != 0 {
+			t.Errorf("pixel %v = %#x after Reset, want 0", p, got)
+		}
+	}
+}
+
+// TestRestoreLastByteOnly restores a dense blob whose only non-zero
+// framebuffer byte is the very last: the restored framebuffer grows to the
+// full extent, holds that byte, and marshals back to the same blob.
+func TestRestoreLastByteOnly(t *testing.T) {
+	s, _ := newChip()
+	s.touch(s.fbSize())
+	s.fb[len(s.fb)-1] = 0x5a
+	blob, err := s.MarshalState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newChip()
+	if err := r.UnmarshalState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.fb) != r.fbSize() {
+		t.Fatalf("restored framebuffer holds %d bytes, want %d", len(r.fb), r.fbSize())
+	}
+	if got := r.fb[len(r.fb)-1]; got != 0x5a {
+		t.Errorf("last byte = %#x, want 0x5a", got)
+	}
+	again, err := r.MarshalState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Error("re-marshaled blob differs")
+	}
+	// An all-zero framebuffer field restores to an empty framebuffer.
+	empty, _ := newChip()
+	blob, _ = empty.MarshalState(nil)
+	if err := r.UnmarshalState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.fb) != 0 {
+		t.Errorf("all-zero blob restored %d framebuffer bytes, want 0", len(r.fb))
 	}
 }

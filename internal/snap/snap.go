@@ -32,6 +32,7 @@
 package snap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -230,7 +231,8 @@ func (r *Reader) fail(err error) {
 	}
 }
 
-// take returns the next n payload bytes, or nil after latching an error.
+// take returns the next n payload bytes, capacity capped at n, or nil
+// after latching an error.
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -239,7 +241,7 @@ func (r *Reader) take(n int) []byte {
 		r.fail(ErrTruncated)
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
@@ -293,7 +295,12 @@ func (r *Reader) Bool() bool {
 	return b[0] == 1
 }
 
-// Bytes reads a uint32 length prefix and returns a copy of that many bytes.
+// Bytes reads a uint32 length prefix and returns that many bytes as a
+// view of the blob, not a copy: its capacity is capped at its length, so
+// appending to it cannot overwrite the rest of the blob, but it aliases
+// the blob's bytes. A decoder that keeps the bytes beyond UnmarshalState
+// must copy them; one that copies them into a buffer of its own can use
+// the view directly.
 func (r *Reader) Bytes() []byte {
 	n := r.U32()
 	if r.err != nil {
@@ -303,17 +310,30 @@ func (r *Reader) Bytes() []byte {
 		r.fail(fmt.Errorf("%w (declared %d bytes)", ErrTruncated, n))
 		return nil
 	}
-	b := r.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return r.take(int(n))
 }
 
 // String reads a uint32 length prefix and that many bytes as a string.
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// zeroChunk is the run of zeros TrimZeros compares a tail against.
+var zeroChunk [4096]byte
+
+// TrimZeros returns b up to and including its last non-zero byte: empty
+// when b is all zero. It skips a zero tail 4 KiB at a time, one vectorized
+// compare per chunk, so trimming a mostly empty framebuffer field does not
+// loop over every byte. Decoders call it here because UnmarshalState may
+// not re-slice payload bytes itself (the snapdecode analyzer).
+func TrimZeros(b []byte) []byte {
+	n := len(b)
+	for n >= len(zeroChunk) && bytes.Equal(b[n-len(zeroChunk):n], zeroChunk[:]) {
+		n -= len(zeroChunk)
+	}
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	return b[:n]
+}
 
 // Err returns the first decoding error, if any, without the
 // fully-consumed check of Close.

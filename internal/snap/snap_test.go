@@ -139,6 +139,67 @@ func TestReaderBytesOversizedPrefix(t *testing.T) {
 	}
 }
 
+// TestReaderBytesIsCappedView: Bytes returns a view of the blob, not a
+// copy, whose capacity ends at its length, so appending to it reallocates
+// instead of overwriting the fields that follow.
+func TestReaderBytesIsCappedView(t *testing.T) {
+	payload := snap.AppendBytes(nil, []byte{1, 2, 3})
+	payload = snap.AppendU8(payload, 0x77)
+	data := blob("dev", payload...)
+	r, err := snap.NewReader(data, "dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.Bytes()
+	if !bytes.Equal(b, []byte{1, 2, 3}) || cap(b) != 3 {
+		t.Fatalf("Bytes = %v (cap %d), want [1 2 3] (cap 3)", b, cap(b))
+	}
+	_ = append(b, 0xee)
+	if v := r.U8(); v != 0x77 {
+		t.Errorf("field after the bytes = %#x, want 0x77: append wrote through the view", v)
+	}
+	data[len(data)-2] = 9 // the last of the three bytes
+	if b[2] != 9 {
+		t.Error("Bytes copied the blob; want a view of it")
+	}
+}
+
+func TestTrimZeros(t *testing.T) {
+	// at returns n zero bytes with byte i set to 0xaa (none when i < 0).
+	at := func(n, i int) []byte {
+		b := make([]byte, n)
+		if i >= 0 {
+			b[i] = 0xaa
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want int // length of the result
+	}{
+		{"nil", nil, 0},
+		{"empty", []byte{}, 0},
+		{"all zero", at(3*4096+17, -1), 0},
+		{"last byte set", at(3*4096+17, 3*4096+16), 3*4096 + 17},
+		{"first byte set", at(2*4096, 0), 1},
+		{"interior zeros kept", []byte{1, 0, 0, 2, 0}, 4},
+		// The last 4 KiB chunk of the input is all zero; the set byte sits
+		// just before it, or as its first byte.
+		{"just before the chunk edge", at(2*4096+5, 4096+4), 4096 + 5},
+		{"just after the chunk edge", at(2*4096+5, 4096+5), 4096 + 6},
+		{"chunk-sized", at(4096, 4095), 4096},
+	} {
+		got := snap.TrimZeros(tc.in)
+		if len(got) != tc.want {
+			t.Errorf("%s: TrimZeros kept %d bytes, want %d", tc.name, len(got), tc.want)
+		}
+		if len(got) > 0 && &got[0] != &tc.in[0] {
+			t.Errorf("%s: TrimZeros copied; want a prefix of its input", tc.name)
+		}
+	}
+}
+
 func TestReaderBoolRejectsNonBinary(t *testing.T) {
 	r, err := snap.NewReader(blob("dev", 2), "dev")
 	if err != nil {
