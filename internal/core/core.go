@@ -31,6 +31,7 @@ import (
 	"repro/internal/devil/parser"
 	"repro/internal/devil/scanner"
 	"repro/internal/devil/sema"
+	"repro/internal/devil/token"
 )
 
 // Options configures linked devices; see exec.Options.
@@ -60,7 +61,13 @@ func Compile(src []byte) (*sema.Device, error) {
 // sema codes. The device is nil when (and only when) the list has
 // errors.
 func CompileDiags(src []byte) (*sema.Device, diag.List) {
-	astDev, perrs := parser.Parse(src)
+	return CompileTokens(scanner.ScanAll(src))
+}
+
+// CompileTokens is CompileDiags of a scanned specification: toks and
+// scanErrs as scanner.ScanAll returns them (see parser.ParseTokens).
+func CompileTokens(toks []token.Token, scanErrs scanner.ErrorList) (*sema.Device, diag.List) {
+	astDev, perrs := parser.ParseTokens(toks, scanErrs)
 	if len(perrs) > 0 {
 		return nil, syntaxDiags(perrs)
 	}

@@ -22,10 +22,22 @@ import (
 // device AST and the accumulated lexical and syntax errors. The AST may be
 // partially populated when errors are present.
 func Parse(src []byte) (*ast.Device, scanner.ErrorList) {
-	p := &parser{sc: scanner.New(src)}
+	return ParseTokens(scanner.ScanAll(src))
+}
+
+// ParseTokens parses a scanned specification: toks and scanErrs as
+// scanner.ScanAll returns them, toks ending with EOF. Of the lexical
+// errors it reports those up to the last token the parser reads, so a
+// parse that stops early lists none from past where it stopped.
+func ParseTokens(toks []token.Token, scanErrs scanner.ErrorList) (*ast.Device, scanner.ErrorList) {
+	p := &parser{toks: toks}
 	p.next()
 	dev := p.parseDevice()
-	p.errs = append(p.sc.Errors(), p.errs...)
+	n := 0
+	for n < len(scanErrs) && scanErrs[n].Pos.Offset <= p.tok.Pos.Offset {
+		n++
+	}
+	p.errs = append(scanErrs[:n:n], p.errs...)
 	return dev, p.errs
 }
 
@@ -33,12 +45,19 @@ func Parse(src []byte) (*ast.Device, scanner.ErrorList) {
 type bailout struct{}
 
 type parser struct {
-	sc   *scanner.Scanner
+	toks []token.Token
+	i    int // index of the token after tok
 	tok  token.Token
 	errs scanner.ErrorList
 }
 
-func (p *parser) next() { p.tok = p.sc.Next() }
+// next moves to the next token; the final EOF repeats forever.
+func (p *parser) next() {
+	p.tok = p.toks[p.i]
+	if p.i < len(p.toks)-1 {
+		p.i++
+	}
+}
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
 	p.errs.Add(pos, format, args...)

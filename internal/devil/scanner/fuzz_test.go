@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/devil/token"
@@ -53,6 +54,33 @@ func FuzzScanner(f *testing.F) {
 					t.Fatalf("bit pattern %v does not match source at %d", tok, off)
 				}
 			}
+		}
+	})
+}
+
+// FuzzSplice makes an arbitrary edit to an arbitrary text and checks that
+// splicing it into ScanAll's tokens and errors gives ScanAll of the edited
+// text, positions and messages included.
+func FuzzSplice(f *testing.F) {
+	for _, src := range specs.All() {
+		for i, repl := range []string{"\n", "/*", "*/", "//", "'", "\"", "/", "x", ""} {
+			f.Add(src, uint16(len(src)*i/9), uint16(i%3), repl)
+		}
+	}
+	f.Add([]byte("register r = a @ 0 : bit[8]; // c"), uint16(14), uint16(1), "'1.")
+	f.Add([]byte("x /* y */ z 'a"), uint16(2), uint16(2), "\n\n")
+	f.Fuzz(func(t *testing.T, src []byte, pos, n uint16, repl string) {
+		p := int(pos) % (len(src) + 1)
+		m := int(n) % (len(src) - p + 1)
+		edited := append(append(append([]byte{}, src[:p]...), repl...), src[p+m:]...)
+		toks, errs := ScanAll(src)
+		want, wantErrs := ScanAll(edited)
+		got, gotErrs := Splice(nil, toks, errs, src, p, m, repl)
+		if !slices.Equal(got, want) {
+			t.Fatalf("splice of %q at %d (%d bytes) into %q:\n got %v\nwant %v", repl, p, m, src, got, want)
+		}
+		if !slices.EqualFunc(gotErrs, wantErrs, func(a, b *Error) bool { return *a == *b }) {
+			t.Fatalf("splice of %q at %d (%d bytes) into %q: errors\n got %v\nwant %v", repl, p, m, src, gotErrs, wantErrs)
 		}
 	})
 }

@@ -9,6 +9,7 @@ package scanner
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/devil/token"
@@ -299,7 +300,7 @@ func (s *Scanner) scanBits(pos token.Pos) token.Token {
 // tokens including the trailing EOF, plus any lexical errors.
 func ScanAll(src []byte) ([]token.Token, ErrorList) {
 	s := New(src)
-	var toks []token.Token
+	toks := make([]token.Token, 0, len(src)/4+1)
 	for {
 		t := s.Next()
 		toks = append(toks, t)
@@ -307,4 +308,100 @@ func ScanAll(src []byte) ([]token.Token, ErrorList) {
 			return toks, s.Errors()
 		}
 	}
+}
+
+// Splice returns ScanAll of the edited text src[:pos] + repl + src[pos+n:],
+// given toks, errs = ScanAll(src), without scanning all of it. Scanning a
+// token reads at most one byte past its end, and the scanner's state
+// between tokens is its offset, line and column. So only a window is
+// scanned afresh: it starts at the last token that begins before the edit
+// and ends at the first token past the edit that begins where a token of
+// toks begins. The rest of toks and errs is copied with offsets shifted,
+// lines shifted, and columns shifted on that token's line. The tokens
+// reuse dst's storage; errs is not modified.
+func Splice(dst, toks []token.Token, errs ErrorList, src []byte, pos, n int, repl string) ([]token.Token, ErrorList) {
+	k := sort.Search(len(toks), func(i int) bool { return toks[i].Pos.Offset >= pos }) - 1
+	from := token.Pos{Line: 1, Column: 1}
+	if k < 0 {
+		k = 0
+	} else {
+		from = toks[k].Pos
+	}
+	end, shift := pos+n, len(repl)-n
+	var win []byte
+	for w := spliceWindow; ; w *= 2 {
+		stop := min(end+w, len(src))
+		whole := stop == len(src)
+		win = append(append(append(win[:0], src[from.Offset:pos]...), repl...), src[end:stop]...)
+		out := append(dst[:0], toks[:k]...)
+		s := &Scanner{src: win, line: from.Line, col: from.Column}
+		b := k
+		for {
+			nerr := len(s.errs)
+			t := s.Next()
+			if t.Kind == token.EOF && !whole {
+				break // the text may go on past the window
+			}
+			t.Pos.Offset += from.Offset
+			if at := t.Pos.Offset - shift; at >= end {
+				for b < len(toks) && toks[b].Pos.Offset < at {
+					b++
+				}
+				if b < len(toks) && toks[b].Pos.Offset == at {
+					d := delta{shift, t.Pos.Line - toks[b].Pos.Line, t.Pos.Column - toks[b].Pos.Column, toks[b].Pos.Line}
+					for _, bt := range toks[b:] {
+						bt.Pos = d.apply(bt.Pos)
+						out = append(out, bt)
+					}
+					return out, spliceErrors(errs, from.Offset, s.errs[:nerr], at, d)
+				}
+			}
+			if s.off >= len(win) && !whole {
+				break // the token may go on past the window
+			}
+			out = append(out, t)
+		}
+		dst = out
+	}
+}
+
+// spliceWindow is how many bytes past an edit Splice first scans; it
+// doubles the window until a token lines up.
+const spliceWindow = 32
+
+// delta is how positions past a splice move: by the edit's change in
+// length, by the lines it adds, and, on the line where scanning lined up
+// again, by the columns it adds.
+type delta struct{ off, line, col, onLine int }
+
+func (d delta) apply(p token.Pos) token.Pos {
+	if p.Line == d.onLine {
+		p.Column += d.col
+	}
+	p.Offset += d.off
+	p.Line += d.line
+	return p
+}
+
+// spliceErrors assembles the errors of a spliced scan: those of errs
+// before the window start, those of the window (offsets relative to its
+// start), and those of errs from the resync offset on, moved by d.
+func spliceErrors(errs ErrorList, start int, win ErrorList, at int, d delta) ErrorList {
+	var out ErrorList
+	for _, e := range errs {
+		if e.Pos.Offset < start {
+			out = append(out, e)
+		}
+	}
+	for _, e := range win {
+		p := e.Pos
+		p.Offset += start
+		out = append(out, &Error{Pos: p, Msg: e.Msg})
+	}
+	for _, e := range errs {
+		if e.Pos.Offset >= at {
+			out = append(out, &Error{Pos: d.apply(e.Pos), Msg: e.Msg})
+		}
+	}
+	return out
 }

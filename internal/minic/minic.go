@@ -19,10 +19,18 @@
 // device accesses go through Devil-generated stubs): unknown identifiers,
 // arity errors, enum-typed arguments, and compile-time range checks on
 // constant arguments (§3.2) are all detected there.
+//
+// The mutation study checks tens of thousands of single-token mutants of
+// each fragment, so the front end works on token streams: Splice derives a
+// mutant's tokens from the fragment's by lexing only a window around the
+// edit, and a Baseline (the fragment's own successful check) checks the
+// mutant from the last top-level item before the edit instead of from the
+// start. Both give exactly what Lex and CheckTokens give on the mutant.
 package minic
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -51,46 +59,66 @@ type Token struct {
 // Lex tokenizes src. Malformed input yields TokError tokens; the checker
 // reports them as (detected) errors.
 func Lex(src string) []Token {
-	var toks []Token
-	line := 1
-	i := 0
-	for i < len(src) {
-		c := src[i]
+	toks := make([]Token, 0, len(src)/4+1)
+	lx := lexer{src: src, line: 1}
+	for {
+		t := lx.next()
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks
+		}
+	}
+}
+
+// lexer is Lex's whole state between two tokens: the byte offset and the
+// line. Lexing a token reads at most one byte past its end, so two lexers
+// at the same offset and line of texts that agree from that offset on
+// produce the same tokens; Splice relies on both facts.
+type lexer struct {
+	src  string
+	i    int
+	line int
+}
+
+// next skips blanks and comments and returns the next token, or the EOF
+// token at the end of the text.
+func (lx *lexer) next() Token {
+	src := lx.src
+	for lx.i < len(src) {
+		i, c := lx.i, src[lx.i]
 		switch {
 		case c == '\n':
-			line++
-			i++
+			lx.line++
+			lx.i++
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
+			lx.i++
 		case c == '/' && i+1 < len(src) && src[i+1] == '/':
 			for i < len(src) && src[i] != '\n' {
 				i++
 			}
+			lx.i = i
 		case c == '/' && i+1 < len(src) && src[i+1] == '*':
 			i += 2
 			for i+1 < len(src) && !(src[i] == '*' && src[i+1] == '/') {
 				if src[i] == '\n' {
-					line++
+					lx.line++
 				}
 				i++
 			}
-			i += 2
+			lx.i = i + 2
 		case isIdentStart(c):
-			start := i
 			for i < len(src) && isIdentChar(src[i]) {
 				i++
 			}
-			toks = append(toks, Token{TokIdent, src[start:i], start, line})
+			return lx.emit(TokIdent, i)
 		case c >= '0' && c <= '9':
-			start := i
 			if c == '0' && i+1 < len(src) && (src[i+1] == 'x' || src[i+1] == 'X') {
 				i += 2
 				for i < len(src) && isHex(src[i]) {
 					i++
 				}
-				if i == start+2 {
-					toks = append(toks, Token{TokError, src[start:i], start, line})
-					continue
+				if i == lx.i+2 {
+					return lx.emit(TokError, i)
 				}
 			} else {
 				for i < len(src) && src[i] >= '0' && src[i] <= '9' {
@@ -102,39 +130,121 @@ func Lex(src string) []Token {
 				for i < len(src) && isIdentChar(src[i]) {
 					i++
 				}
-				toks = append(toks, Token{TokError, src[start:i], start, line})
-				continue
+				return lx.emit(TokError, i)
 			}
-			toks = append(toks, Token{TokNumber, src[start:i], start, line})
+			return lx.emit(TokNumber, i)
 		case c == '#':
-			toks = append(toks, Token{TokHash, "#", i, line})
-			i++
+			return lx.emit(TokHash, i+1)
 		default:
-			// Multi-character operators, longest first.
-			ops := []string{
-				"<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-				"+=", "-=", "|=", "&=", "^=",
-				"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">",
-				"=", "(", ")", "{", "}", ",", ";",
+			if n := opLen(src, i); n > 0 {
+				return lx.emit(TokOp, i+n)
 			}
-			matched := false
-			for _, op := range ops {
-				if strings.HasPrefix(src[i:], op) {
-					toks = append(toks, Token{TokOp, op, i, line})
-					i += len(op)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				toks = append(toks, Token{TokError, string(c), i, line})
-				i++
-			}
+			lx.i++
+			return Token{TokError, string(rune(c)), i, lx.line}
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Pos: len(src), Line: line})
-	return toks
+	return Token{Kind: TokEOF, Pos: len(src), Line: lx.line}
 }
+
+// emit returns the token of the given kind spanning from the current
+// offset to end, and moves past it.
+func (lx *lexer) emit(kind TokKind, end int) Token {
+	t := Token{kind, lx.src[lx.i:end], lx.i, lx.line}
+	lx.i = end
+	return t
+}
+
+// opLen returns the length of the operator or punctuation at src[i],
+// matching the longest spelling, or 0 when none starts there.
+func opLen(src string, i int) int {
+	var c1, c2 byte
+	if i+1 < len(src) {
+		c1 = src[i+1]
+	}
+	if i+2 < len(src) {
+		c2 = src[i+2]
+	}
+	switch c := src[i]; c {
+	case '<', '>': // < <= << <<=, and their mirrors
+		switch {
+		case c1 == c && c2 == '=':
+			return 3
+		case c1 == c || c1 == '=':
+			return 2
+		}
+		return 1
+	case '&', '|': // & && &=, | || |=
+		if c1 == c || c1 == '=' {
+			return 2
+		}
+		return 1
+	case '=', '!', '+', '-', '^': // = ==, ! !=, + +=, - -=, ^ ^=
+		if c1 == '=' {
+			return 2
+		}
+		return 1
+	case '*', '/', '%', '~', '(', ')', '{', '}', ',', ';':
+		return 1
+	}
+	return 0
+}
+
+// Splice returns the tokens of the edited text src[:pos] + repl +
+// src[pos+n:], given toks = Lex(src), and the index of the first token
+// that may differ from toks. Only a window is lexed afresh: it starts at
+// the last token that begins before the edit, since no token earlier than
+// that one reads as far as the edit, and it ends at the first token past
+// the edit that begins where a token of toks begins. From there on both
+// texts agree, so the rest of toks is copied with Pos and Line shifted.
+// The result reuses dst's storage and equals Lex of the edited text.
+func Splice(dst, toks []Token, src string, pos, n int, repl string) ([]Token, int) {
+	k := sort.Search(len(toks), func(i int) bool { return toks[i].Pos >= pos }) - 1
+	start, line := 0, 1
+	if k < 0 {
+		k = 0
+	} else {
+		start, line = toks[k].Pos, toks[k].Line
+	}
+	end, shift := pos+n, len(repl)-n
+	for w := spliceWindow; ; w *= 2 {
+		stop := min(end+w, len(src))
+		whole := stop == len(src)
+		win := src[start:pos] + repl + src[end:stop]
+		out := append(dst[:0], toks[:k]...)
+		lx := lexer{src: win, line: line}
+		b := k
+		for {
+			t := lx.next()
+			if t.Kind == TokEOF && !whole {
+				break // the text may go on past the window
+			}
+			t.Pos += start
+			if at := t.Pos - shift; at >= end {
+				for b < len(toks) && toks[b].Pos < at {
+					b++
+				}
+				if b < len(toks) && toks[b].Pos == at {
+					dl := t.Line - toks[b].Line
+					for _, bt := range toks[b:] {
+						bt.Pos += shift
+						bt.Line += dl
+						out = append(out, bt)
+					}
+					return out, k
+				}
+			}
+			if lx.i >= len(win) && !whole {
+				break // the token may go on past the window
+			}
+			out = append(out, t)
+		}
+		dst = out
+	}
+}
+
+// spliceWindow is how many bytes past an edit Splice first lexes; it
+// doubles the window until a token lines up.
+const spliceWindow = 32
 
 func isIdentStart(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
@@ -238,14 +348,67 @@ func CEnv() *Env {
 // Check parses and type-checks a fragment against env, returning the first
 // error or nil. A nil result means a C compiler (or the stub-aware checker)
 // would accept the mutant — the mutation goes undetected.
-func Check(src string, env *Env) error {
-	toks := Lex(src)
+func Check(src string, env *Env) error { return CheckTokens(Lex(src), env) }
+
+// CheckTokens is Check of a fragment already lexed: toks is Lex of it.
+func CheckTokens(toks []Token, env *Env) error {
+	if err := malformed(toks); err != nil {
+		return err
+	}
+	c := checker{toks: toks, env: env}
+	return c.checkFragment()
+}
+
+// malformed reports the first TokError of toks.
+func malformed(toks []Token) error {
 	for _, t := range toks {
 		if t.Kind == TokError {
 			return fmt.Errorf("line %d: malformed token %q", t.Line, t.Text)
 		}
 	}
-	c := &checker{toks: toks, env: env, vars: map[string]Type{}}
+	return nil
+}
+
+// Baseline is a fragment that passed its check, kept so that edited copies
+// of it are checked from the last top-level item the edit leaves intact
+// rather than from the start. The checker's whole state between two
+// top-level items is the token index and the names declared so far, and
+// the names are recovered from the index of each name's first declaration.
+type Baseline struct {
+	env   *Env
+	tops  []int          // token index where each top-level item starts
+	decls map[string]int // token index of each name's first declaration
+}
+
+// NewBaseline checks toks against env and records the checker's state at
+// every top-level item. It fails when the fragment does not check.
+func NewBaseline(toks []Token, env *Env) (*Baseline, error) {
+	if err := malformed(toks); err != nil {
+		return nil, err
+	}
+	b := &Baseline{env: env}
+	c := checker{toks: toks, env: env, tops: &b.tops}
+	if err := c.checkFragment(); err != nil {
+		return nil, err
+	}
+	b.decls = c.vars
+	return b, nil
+}
+
+// CheckFrom returns what CheckTokens(toks, env) returns, for toks that
+// agree with the baseline's tokens before index k (Splice's second
+// result). It resumes at the last top-level item that starts before k: the
+// items before it read no token past its first one, which is lookahead
+// for the end of a #define expression or of an if without else.
+func (b *Baseline) CheckFrom(toks []Token, k int) error {
+	if err := malformed(toks[k:]); err != nil {
+		return err
+	}
+	from := 0
+	if i := sort.SearchInts(b.tops, k); i > 0 {
+		from = b.tops[i-1]
+	}
+	c := checker{toks: toks, pos: from, env: b.env, base: b, from: from}
 	return c.checkFragment()
 }
 
@@ -253,7 +416,15 @@ type checker struct {
 	toks []Token
 	pos  int
 	env  *Env
-	vars map[string]Type
+	// vars maps each name declared by the fragment to the token index of
+	// its first declaration.
+	vars map[string]int
+	// base and from resume a check at token from of an edited baseline:
+	// the names the baseline declared before from are in scope.
+	base *Baseline
+	from int
+	// tops, when set, collects the start of every top-level item.
+	tops *[]int
 }
 
 func (c *checker) cur() Token  { return c.toks[c.pos] }
@@ -277,6 +448,9 @@ func (c *checker) isOp(op string) bool {
 
 func (c *checker) checkFragment() error {
 	for c.cur().Kind != TokEOF {
+		if c.tops != nil {
+			*c.tops = append(*c.tops, c.pos)
+		}
 		if err := c.checkTop(); err != nil {
 			return err
 		}
@@ -306,16 +480,16 @@ func (c *checker) checkDefine() error {
 	if c.cur().Kind != TokIdent {
 		return c.errf("expected macro name")
 	}
-	name := c.next().Text
+	at := c.pos
+	c.pos++
 	// The replacement is a constant expression on the same line.
-	line := c.toks[c.pos-1].Line
-	if c.cur().Line != line {
-		return c.errf("macro %s has no replacement", name)
+	if c.cur().Line != c.toks[at].Line {
+		return c.errf("macro %s has no replacement", c.toks[at].Text)
 	}
 	if _, _, err := c.checkExpr(); err != nil {
 		return err
 	}
-	c.vars[name] = Int
+	c.declare(at)
 	return nil
 }
 
@@ -325,7 +499,8 @@ func (c *checker) checkVarDecl() error {
 		if c.cur().Kind != TokIdent {
 			return c.errf("expected variable name")
 		}
-		c.vars[c.next().Text] = Int
+		c.declare(c.pos)
+		c.pos++
 		if c.isOp(",") {
 			c.pos++
 			continue
@@ -393,9 +568,28 @@ func (c *checker) checkStmt() error {
 	return c.expectOp(";")
 }
 
+// declare adds the name at token index i to the fragment's variables.
+func (c *checker) declare(i int) {
+	name := c.toks[i].Text
+	if _, dup := c.vars[name]; dup {
+		return
+	}
+	if c.vars == nil {
+		c.vars = map[string]int{}
+	}
+	c.vars[name] = i
+}
+
+// lookupValue resolves a name used as a value: a fragment variable (always
+// an int) shadows a named constant of the environment.
 func (c *checker) lookupValue(name string) (Type, bool) {
-	if t, ok := c.vars[name]; ok {
-		return t, ok
+	if _, ok := c.vars[name]; ok {
+		return Int, true
+	}
+	if c.base != nil {
+		if i, ok := c.base.decls[name]; ok && i < c.from {
+			return Int, true
+		}
 	}
 	t, ok := c.env.Consts[name]
 	return t, ok
@@ -405,22 +599,47 @@ func (c *checker) lookupValue(name string) (Type, bool) {
 // expression is a constant, its value.
 func (c *checker) checkExpr() (Type, *int64, error) { return c.checkBinary(0) }
 
-// C binary operator precedence levels, loosest first.
-var precLevels = [][]string{
-	{"||"}, {"&&"}, {"|"}, {"^"}, {"&"},
-	{"==", "!="}, {"<", ">", "<=", ">="},
-	{"<<", ">>"}, {"+", "-"}, {"*", "/", "%"},
+// binaryLevel returns the C precedence level of a binary operator, from
+// || (0, loosest) to the multiplicative operators (9), or -1 for any other
+// token text.
+func binaryLevel(op string) int {
+	switch op {
+	case "||":
+		return 0
+	case "&&":
+		return 1
+	case "|":
+		return 2
+	case "^":
+		return 3
+	case "&":
+		return 4
+	case "==", "!=":
+		return 5
+	case "<", ">", "<=", ">=":
+		return 6
+	case "<<", ">>":
+		return 7
+	case "+", "-":
+		return 8
+	case "*", "/", "%":
+		return 9
+	}
+	return -1
 }
 
-func (c *checker) checkBinary(level int) (Type, *int64, error) {
-	if level >= len(precLevels) {
-		return c.checkUnary()
-	}
-	lt, lv, err := c.checkBinary(level + 1)
+// checkBinary checks a chain of binary operators of level min or tighter,
+// left-associatively (precedence climbing).
+func (c *checker) checkBinary(min int) (Type, *int64, error) {
+	lt, lv, err := c.checkUnary()
 	if err != nil {
 		return Int, nil, err
 	}
-	for c.cur().Kind == TokOp && contains(precLevels[level], c.cur().Text) {
+	for c.cur().Kind == TokOp {
+		level := binaryLevel(c.cur().Text)
+		if level < min {
+			break
+		}
 		op := c.next().Text
 		rt, rv, err := c.checkBinary(level + 1)
 		if err != nil {
@@ -436,15 +655,6 @@ func (c *checker) checkBinary(level int) (Type, *int64, error) {
 		lt = Int
 	}
 	return lt, lv, nil
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 func constFold(op string, a, b *int64) *int64 {

@@ -2,12 +2,14 @@ package mutation
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/devil/diag"
+	"repro/internal/devil/scanner"
 	"repro/internal/devil/sema"
-	"repro/internal/minic"
+	"repro/internal/devil/token"
 )
 
 // CodeProfile tallies detected mutants per diagnostic code. A mutant that
@@ -66,88 +68,64 @@ func (r CodeResult) Add(o CodeResult) CodeResult {
 	}
 }
 
-// RunCodes is Run for Devil specifications, using the structured
-// diagnostics of core.CompileDiags as the checker and attributing every
-// detected mutant to the code(s) that rejected it. iface, when non-nil,
-// classifies mutants the compiler accepts: a non-nil error marks the
-// mutant detected by the generated-interface rebuild instead.
-func RunCodes(src string, sites []Site, iface func(*sema.Device) error) CodeResult {
-	if dev, diags := core.CompileDiags([]byte(src)); diags.HasErrors() {
+// RunCodes mutates every site of a Devil specification, whose tokens toks
+// are those scanner.ScanAll(spec) returns, and checks each mutant with the
+// full compiler, attributing every detected mutant to the diagnostic
+// code(s) that rejected it. iface, when non-nil, classifies mutants the
+// compiler accepts: a non-nil error marks the mutant detected by the
+// generated-interface rebuild instead. The unmutated specification must
+// compile (the baseline must be valid).
+func RunCodes(spec []byte, toks []token.Token, iface func(*sema.Device) error) CodeResult {
+	if dev, diags := core.CompileTokens(toks, nil); diags.HasErrors() {
 		panic(fmt.Sprintf("mutation: baseline does not check: %v", diags.Err()))
 	} else if iface != nil {
 		if err := iface(dev); err != nil {
 			panic(fmt.Sprintf("mutation: baseline fails the interface check: %v", err))
 		}
 	}
+	src := string(spec)
+	sites := sitesForDevil(toks)
 	res := CodeResult{
 		Result: Result{Lines: strings.Count(src, "\n") + 1, Sites: len(sites)},
 		Codes:  CodeProfile{},
 	}
-	for _, s := range sites {
-		if src[s.Pos:s.Pos+len(s.Text)] != s.Text {
-			panic(fmt.Sprintf("mutation: site text mismatch at %d: %q", s.Pos, s.Text))
-		}
-		for _, m := range mutate(s) {
-			res.Mutants++
-			mutant := src[:s.Pos] + m + src[s.Pos+len(s.Text):]
-			dev, diags := core.CompileDiags([]byte(mutant))
-			if diags.HasErrors() {
-				seen := map[diag.Code]bool{}
-				for _, d := range diags {
-					if d.Severity == diag.SevError && !seen[d.Code] {
-						seen[d.Code] = true
-						res.Codes[d.Code]++
-					}
+	var buf []token.Token
+	eachMutant(src, sites, func(s Site, m string) {
+		res.Mutants++
+		var serrs scanner.ErrorList
+		buf, serrs = scanner.Splice(buf, toks, nil, spec, s.Pos, len(s.Text), m)
+		dev, diags := core.CompileTokens(buf, serrs)
+		if diags.HasErrors() {
+			var seen []diag.Code
+			for _, d := range diags {
+				if d.Severity == diag.SevError && !slices.Contains(seen, d.Code) {
+					seen = append(seen, d.Code)
+					res.Codes[d.Code]++
 				}
-				continue
 			}
-			if iface != nil && iface(dev) != nil {
-				res.Interface++
-				continue
-			}
-			res.Undetected++
+			return
 		}
-	}
+		if iface != nil && iface(dev) != nil {
+			res.Interface++
+			return
+		}
+		res.Undetected++
+	})
 	return res
 }
 
 // DevilCodes runs the Devil rows of the Table 1 study with code
-// attribution, keyed by device name. The interface check matches
-// study.run: a mutant that renames the device or changes any stub
-// signature breaks the rebuild of the stub-calling fragment.
+// attribution, keyed by device name. A mutant the compiler accepts still
+// counts as detected when it breaks the rebuild of the stub-calling
+// fragment (see study.devil).
 func DevilCodes(filter string) (map[string]CodeResult, error) {
 	out := map[string]CodeResult{}
-	for _, st := range studies {
-		if filter != "" && !strings.Contains(strings.ToLower(st.device), strings.ToLower(filter)) {
-			continue
+	for _, st := range selected(filter) {
+		in, err := st.prepare()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", st.device, err)
 		}
-		var compiled []*sema.Device
-		for _, spec := range st.specs {
-			dev, err := core.Compile(spec)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", st.device, err)
-			}
-			compiled = append(compiled, dev)
-		}
-		origEnv := StubEnv(st.prefix, compiled...)
-		var agg CodeResult
-		for i, spec := range st.specs {
-			src := string(spec)
-			iface := func(dev *sema.Device) error {
-				if dev.Name != compiled[i].Name {
-					return fmt.Errorf("device renamed: generated header name changes")
-				}
-				devs := make([]*sema.Device, len(compiled))
-				copy(devs, compiled)
-				devs[i] = dev
-				if !envEqual(origEnv, StubEnv(st.prefix, devs...)) {
-					return fmt.Errorf("generated interface changed")
-				}
-				return minic.Check(st.stubSrc, StubEnv(st.prefix, devs...))
-			}
-			agg = agg.Add(RunCodes(src, SitesForDevil([]byte(src)), iface))
-		}
-		out[st.device] = agg
+		out[st.device] = st.devil(in)
 	}
 	return out, nil
 }

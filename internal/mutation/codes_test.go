@@ -106,19 +106,8 @@ func keys(m map[diag.Code]bool) []diag.Code {
 // plain Table 1 runner: same mutants, same verdicts, and every detected
 // mutant accounted for by a registered error code or the interface check.
 func TestDevilCodesBusmouse(t *testing.T) {
-	rows, err := RunStudy("busmouse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coded, err := DevilCodes("busmouse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, ok := coded["Logitech Busmouse"]
-	if !ok {
-		t.Fatalf("devices = %v", coded)
-	}
-	plain := rows[0].Devil
+	r := devilCodes(t, "busmouse")
+	plain := studyRow(t, "busmouse").Devil
 	if r.Mutants != plain.Mutants || r.Undetected != plain.Undetected || r.Sites != plain.Sites {
 		t.Errorf("code runner disagrees with Run: %+v vs %+v", r.Result, plain)
 	}
@@ -164,10 +153,7 @@ func TestDevilCodesAllDevices(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full mutation study in -short mode")
 	}
-	coded, err := DevilCodes("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	coded := allDevilCodes(t)
 	if len(coded) != 8 {
 		t.Fatalf("devices = %d, want 8", len(coded))
 	}

@@ -21,13 +21,21 @@
 // The mutation rules follow the paper's conventions: mutants must remain
 // lexically plausible (an identifier never mutates into a malformed token),
 // and the rules are chosen so that C is favoured.
+//
+// A mutant is never built as a new text and lexed whole. Each source is
+// lexed once per study, and each mutant is a spliced token stream: the
+// source's tokens with a small window around the edit lexed afresh
+// (minic.Splice, scanner.Splice). Mini-C mutants are checked from the last
+// top-level item the edit leaves unchanged (minic.Baseline.CheckFrom);
+// Devil mutants are parsed from their tokens and resolved whole. The
+// verdicts are those of a full re-lex and re-check, which the package's
+// exactness tests assert for every mutant.
 package mutation
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/devil/scanner"
 	"repro/internal/devil/token"
 	"repro/internal/minic"
 )
@@ -311,9 +319,12 @@ var cPunctuation = map[string]bool{
 }
 
 // SitesForC extracts the mutation sites of a mini-C fragment.
-func SitesForC(src string) []Site {
+func SitesForC(src string) []Site { return sitesForC(minic.Lex(src)) }
+
+// sitesForC extracts the mutation sites of a lexed mini-C fragment.
+func sitesForC(toks []minic.Token) []Site {
 	var sites []Site
-	for _, t := range minic.Lex(src) {
+	for _, t := range toks {
 		switch t.Kind {
 		case minic.TokIdent:
 			if !cKeywords[t.Text] {
@@ -342,12 +353,9 @@ var devilOps = map[token.Kind]string{
 	token.DOTDOT:   "..",
 }
 
-// SitesForDevil extracts the mutation sites of a Devil specification.
-func SitesForDevil(src []byte) []Site {
-	toks, errs := scanner.ScanAll(src)
-	if errs.Err() != nil {
-		panic(fmt.Sprintf("mutation: baseline spec does not scan: %v", errs))
-	}
+// sitesForDevil extracts the mutation sites of a scanned Devil
+// specification.
+func sitesForDevil(toks []token.Token) []Site {
 	var sites []Site
 	for _, t := range toks {
 		switch t.Kind {
@@ -370,25 +378,41 @@ func SitesForDevil(src []byte) []Site {
 // ---------------------------------------------------------------------------
 // The study
 
-// Run mutates every site of src and counts detection by check. The
-// unmutated source must pass the checker (the baseline must be valid).
-func Run(src string, sites []Site, check func(string) error) Result {
-	if err := check(src); err != nil {
-		panic(fmt.Sprintf("mutation: baseline does not check: %v", err))
-	}
-	res := Result{Lines: strings.Count(src, "\n") + 1, Sites: len(sites)}
+// eachMutant calls f with every mutant of every site of src, in order.
+func eachMutant(src string, sites []Site, f func(s Site, m string)) {
 	for _, s := range sites {
 		if src[s.Pos:s.Pos+len(s.Text)] != s.Text {
 			panic(fmt.Sprintf("mutation: site text mismatch at %d: %q", s.Pos, s.Text))
 		}
 		for _, m := range mutate(s) {
-			res.Mutants++
-			mutant := src[:s.Pos] + m + src[s.Pos+len(s.Text):]
-			if check(mutant) == nil {
-				res.Undetected++
-			}
+			f(s, m)
 		}
 	}
+}
+
+// RunC mutates every site of the mini-C fragment src, whose tokens toks
+// are minic.Lex(src), and counts the mutants the checker accepts under
+// env. The unmutated fragment must pass the checker (the baseline must be
+// valid).
+func RunC(src string, toks []minic.Token, env *minic.Env) Result {
+	base, err := minic.NewBaseline(toks, env)
+	if err != nil {
+		panic(fmt.Sprintf("mutation: baseline does not check: %v", err))
+	}
+	sites := sitesForC(toks)
+	res := Result{Lines: strings.Count(src, "\n") + 1, Sites: len(sites)}
+	var buf []minic.Token
+	eachMutant(src, sites, func(s Site, m string) {
+		res.Mutants++
+		var k int
+		buf, k = minic.Splice(buf, toks, src, s.Pos, len(s.Text), m)
+		if base.CheckFrom(buf, k) == nil {
+			res.Undetected++
+		}
+	})
 	return res
 }
+
+// MutantsOf returns the replacement texts the study's rules generate for
+// one site.
 func MutantsOf(s Site) []string { return mutate(s) }

@@ -96,8 +96,7 @@ func TestRunCountsDetection(t *testing.T) {
 	// (undeclared) but mutating the number never is.
 	src := `int abcd;
 abcd = 7;`
-	sites := SitesForC(src)
-	res := Run(src, sites, func(s string) error { return minic.Check(s, minic.CEnv()) })
+	res := RunC(src, minic.Lex(src), minic.CEnv())
 	if res.Sites != 4 { // abcd (declaration), abcd (use), =, 7
 		t.Fatalf("sites = %d", res.Sites)
 	}
@@ -145,14 +144,7 @@ func TestBitOpShare(t *testing.T) {
 // TestStudyBusmouse runs the complete Table 1 experiment for the busmouse
 // and checks the paper's qualitative claims.
 func TestStudyBusmouse(t *testing.T) {
-	rows, err := RunStudy("busmouse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	r := rows[0]
+	r := studyRow(t, "busmouse")
 
 	// Devil specification mutants are nearly always detected.
 	if ups := r.Devil.UndetectedPerSite(); ups > 2.0 {
@@ -177,10 +169,7 @@ func TestStudyAllDevicesOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full mutation study in -short mode")
 	}
-	rows, err := RunStudy("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := studyRows(t)
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want one per library device (all 8 in the study)", len(rows))
 	}
@@ -214,14 +203,7 @@ func TestStudyAllDevicesOrdering(t *testing.T) {
 // all 8 library devices.
 func TestStudyNewDevices(t *testing.T) {
 	for _, dev := range []string{"i8259", "i8237", "CS4236", "Busmaster", "Permedia2"} {
-		rows, err := RunStudy(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 1 {
-			t.Fatalf("%s: rows = %d", dev, len(rows))
-		}
-		r := rows[0]
+		r := studyRow(t, dev)
 		if ratio := r.RatioCDevil(); ratio < 2.0 {
 			t.Errorf("%s: C/C_Devil ratio = %.1f, want > 2", r.Device, ratio)
 		}

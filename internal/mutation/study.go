@@ -2,10 +2,13 @@ package mutation
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/devil/scanner"
 	"repro/internal/devil/sema"
+	"repro/internal/devil/token"
 	"repro/internal/minic"
 	"repro/internal/specs"
 )
@@ -113,10 +116,7 @@ var studies = []study{
 // paper name ("busmouse", "ide", "ne2000") or for all with "".
 func RunStudy(filter string) ([]Row, error) {
 	var rows []Row
-	for _, st := range studies {
-		if filter != "" && !strings.Contains(strings.ToLower(st.device), strings.ToLower(filter)) {
-			continue
-		}
+	for _, st := range selected(filter) {
 		row, err := st.run()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", st.device, err)
@@ -126,61 +126,87 @@ func RunStudy(filter string) ([]Row, error) {
 	return rows, nil
 }
 
+// selected returns the studies whose device name contains filter, ignoring
+// case; "" selects all.
+func selected(filter string) []study {
+	var out []study
+	for _, st := range studies {
+		if strings.Contains(strings.ToLower(st.device), strings.ToLower(filter)) {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// prepared is what a study's Devil and C_Devil rows share: the scanned and
+// compiled specifications, the stub environment they generate, and the
+// lexed stub-calling fragment.
+type prepared struct {
+	specToks [][]token.Token
+	compiled []*sema.Device
+	env      *minic.Env
+	stubToks []minic.Token
+}
+
+func (st study) prepare() (prepared, error) {
+	var in prepared
+	for _, spec := range st.specs {
+		toks, errs := scanner.ScanAll(spec)
+		dev, diags := core.CompileTokens(toks, errs)
+		if err := diags.Err(); err != nil {
+			return in, fmt.Errorf("devil: %w", err)
+		}
+		in.specToks = append(in.specToks, toks)
+		in.compiled = append(in.compiled, dev)
+	}
+	in.env = StubEnv(st.prefix, in.compiled...)
+	in.stubToks = minic.Lex(st.stubSrc)
+	return in, nil
+}
+
 func (st study) run() (Row, error) {
 	row := Row{Device: st.device}
 
 	// C: the hand-crafted fragment against the permissive mini-C checker.
-	row.C = Run(st.cSrc, SitesForC(st.cSrc), func(s string) error {
-		return minic.Check(s, minic.CEnv())
-	})
+	row.C = RunC(st.cSrc, minic.Lex(st.cSrc), minic.CEnv())
 
-	var compiled []*sema.Device
-	for _, spec := range st.specs {
-		dev, err := core.Compile(spec)
-		if err != nil {
-			return row, err
-		}
-		compiled = append(compiled, dev)
+	in, err := st.prepare()
+	if err != nil {
+		return row, err
 	}
-
-	// Devil: each specification against the full compiler. As in the paper,
-	// mutations are applied "both to the Devil specification of the device,
-	// and to procedure calls to the generated interface": a spec mutant
-	// that still satisfies §3.1 but changes the *generated interface* — a
-	// renamed device or variable, a renamed or retyped enum symbol, a
-	// changed value range — breaks the rebuild of every driver using the
-	// public-library stubs, so it counts as detected. Only mutants that
-	// keep the interface identical and silently change device behaviour
-	// (e.g. flipping a forced mask bit) survive.
-	for i, spec := range st.specs {
-		src := string(spec)
-		origName := compiled[i].Name
-		origEnv := StubEnv(st.prefix, compiled...)
-		res := Run(src, SitesForDevil([]byte(src)), func(s string) error {
-			dev, err := core.Compile([]byte(s))
-			if err != nil {
-				return err
-			}
-			if dev.Name != origName {
-				return fmt.Errorf("device renamed: generated header name changes")
-			}
-			devs := make([]*sema.Device, len(compiled))
-			copy(devs, compiled)
-			devs[i] = dev
-			if !envEqual(origEnv, StubEnv(st.prefix, devs...)) {
-				return fmt.Errorf("generated interface changed")
-			}
-			return minic.Check(st.stubSrc, StubEnv(st.prefix, devs...))
-		})
-		row.Devil = row.Devil.Add(res)
-	}
+	row.Devil = st.devil(in).Result
 
 	// C_Devil: the stub-calling fragment against the typed stub signatures.
-	env := StubEnv(st.prefix, compiled...)
-	row.CDevil = Run(st.stubSrc, SitesForC(st.stubSrc), func(s string) error {
-		return minic.Check(s, env)
-	})
+	row.CDevil = RunC(st.stubSrc, in.stubToks, in.env)
 	return row, nil
+}
+
+// devil runs the Devil row: each specification against the full compiler.
+// As in the paper, mutations are applied "both to the Devil specification
+// of the device, and to procedure calls to the generated interface": a
+// spec mutant that still satisfies §3.1 but changes the *generated
+// interface* — a renamed device or variable, a renamed or retyped enum
+// symbol, a changed value range — breaks the rebuild of every driver using
+// the public-library stubs, so it counts as detected. Only mutants that
+// keep the interface identical and silently change device behaviour (e.g.
+// flipping a forced mask bit) survive.
+func (st study) devil(in prepared) CodeResult {
+	var agg CodeResult
+	for i, spec := range st.specs {
+		agg = agg.Add(RunCodes(spec, in.specToks[i], func(dev *sema.Device) error {
+			if dev.Name != in.compiled[i].Name {
+				return fmt.Errorf("device renamed: generated header name changes")
+			}
+			devs := slices.Clone(in.compiled)
+			devs[i] = dev
+			env := StubEnv(st.prefix, devs...)
+			if !envEqual(in.env, env) {
+				return fmt.Errorf("generated interface changed")
+			}
+			return minic.CheckTokens(in.stubToks, env)
+		}))
+	}
+	return agg
 }
 
 // BitOpShare measures the fraction of code lines in a mini-C fragment that
